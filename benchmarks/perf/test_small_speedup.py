@@ -11,9 +11,9 @@ hold on every future commit.
 Lives under ``benchmarks/`` (minutes-scale, timing-sensitive) rather
 than the tier-1 ``tests/`` tree.  The run is measured exactly the way
 the baselines were: ``scripts/bench.py`` in a subprocess, wall taken
-from the BENCH artifact's ``totals.wall_s`` (summed root
-``experiment.*`` spans), pointed at a scratch directory so the
-committed ledger never absorbs test runs.
+from its ledger record's ``totals.wall_s`` (summed root
+``experiment.*`` spans), with ``--ledger`` pointed at a scratch
+directory so the committed ledger never absorbs test runs.
 """
 
 from __future__ import annotations
@@ -50,10 +50,11 @@ def pre_refactor_median() -> float:
 
 
 def run_small(tmp_path: Path) -> float:
-    """One CLI small run; returns the artifact's totals.wall_s."""
+    """One CLI small run; returns its ledger record's totals.wall_s."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.pop("REPRO_PROFILE", None)
+    ledger = tmp_path / "bench.jsonl"
     proc = subprocess.run(
         [
             sys.executable,
@@ -62,9 +63,8 @@ def run_small(tmp_path: Path) -> float:
             "small",
             "--runid",
             "speedup-gate",
-            "--out-dir",
-            str(tmp_path),
-            "--no-ledger",
+            "--ledger",
+            str(ledger),
             "--no-gate",
         ],
         env=env,
@@ -73,10 +73,10 @@ def run_small(tmp_path: Path) -> float:
         timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
-    artifact = json.loads(
-        (tmp_path / "BENCH_speedup-gate.json").read_text()
-    )
-    return float(artifact["totals"]["wall_s"])
+    (record,) = [
+        json.loads(line) for line in ledger.read_text().splitlines()
+    ]
+    return float(record["totals"]["wall_s"])
 
 
 class TestSmallWorkloadSpeedup:

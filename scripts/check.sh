@@ -4,9 +4,10 @@
 #   ./scripts/check.sh            # the full chain, incl. benchmarks/perf
 #   ./scripts/check.sh --fast     # same gate minus benchmarks/perf
 #
-# Mirrors what CI runs; scripts/bench.py (the BENCH_*.json regression
-# artifacts) and the table/figure benchmarks stay separate.  The perf
-# lane runs at REPRO_SCALE=tiny unless the caller exports a scale.
+# Mirrors what CI runs; scripts/bench.py (the ledger-backed regression
+# gate, one RunRecord per run) and the table/figure benchmarks stay
+# separate.  The perf lane runs at REPRO_SCALE=tiny unless the caller
+# exports a scale.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,6 +35,12 @@ PYTHONPATH=src python -m repro.devtools.lint \
 
 echo "== tier-1 pytest =="
 PYTHONPATH=src python -m pytest -x -q
+
+echo "== sniffbench self-tests =="
+# The benchmark imports repro's public API (e.g.
+# repro.analysis.bench.workload_scale); its own tests catch a broken
+# import or a renamed entry point before any benchmark run does.
+PYTHONPATH=src python -m pytest -q sniffbench
 
 echo "== tier-1 smoke subset under REPRO_WORKERS=2 =="
 # The parallel layer must not change any result: rerun the suites
@@ -178,10 +185,10 @@ if [[ "$fast" == "0" ]]; then
     smoke_dir="$(mktemp -d)"
     trap 'rm -rf "$smoke_dir"' EXIT
     PYTHONPATH=src python scripts/bench.py --scale micro \
-        --runid smokeA --out-dir "$smoke_dir" \
+        --runid smokeA \
         --ledger "$smoke_dir/bench.jsonl" --no-gate >/dev/null
     PYTHONPATH=src python scripts/bench.py --scale micro \
-        --runid smokeB --out-dir "$smoke_dir" \
+        --runid smokeB \
         --ledger "$smoke_dir/bench.jsonl" --threshold 5.0 >/dev/null
     SMOKE_DIR="$smoke_dir" PYTHONPATH=src python - <<'EOF'
 import os

@@ -1,12 +1,13 @@
 """Canonical benchmark workloads behind ``scripts/bench.py``.
 
-A benchmark run must execute the *same* phase sequence every time or
-its ``BENCH_<runid>.json`` timings are not comparable across commits.
-This module pins that sequence: warm-up, ground-truth collection,
-labeling, detector training, the attribute sweep, and classification —
-the paper's pipeline end-to-end — at one of three preset scales:
+This is the repo's one workload registry.  A benchmark run must
+execute the *same* phase sequence every time or its ledger record is
+not comparable across commits.  This module pins that sequence:
+warm-up, ground-truth collection, labeling, detector training, the
+attribute sweep, and classification — the paper's pipeline end-to-end
+— at one of four preset scales:
 
-* ``micro`` — a few seconds; sanity checks and harness tests.
+* ``micro`` — about a second; sanity checks and harness tests.
 * ``tiny``  — ~tens of seconds; the default CI perf gate.
 * ``small`` — minutes; local before/after comparisons.
 * ``large`` — the million-account stress run (sharded engine, a few
@@ -16,7 +17,8 @@ the paper's pipeline end-to-end — at one of three preset scales:
 :func:`run_bench_workload` resets the observability layer, runs the
 workload fully instrumented, and returns the captured
 :class:`~repro.obs.report.RunReport`; ``scripts/bench.py`` distills
-that into a :class:`~repro.obs.bench.BenchResult`.
+that into one ``kind="bench"`` :class:`~repro.obs.ledger.RunRecord`.
+:func:`workload_scale` exposes the presets to other harnesses.
 """
 
 from __future__ import annotations

@@ -1,23 +1,20 @@
 """The run ledger: a schema-versioned, append-only JSONL trajectory.
 
-PR 3's ``BENCH_<runid>.json`` artifacts are gitignored and compared
-against exactly one previous file, so the perf "trajectory" the
-ROADMAP demands never actually accumulates: every machine sees at most
-one baseline, and a single noisy run poisons the gate.  The ledger
-fixes both problems:
+Every run record in the repo has this one format.  A run appends one
+:class:`RunRecord` — run identity (seed, workers, config/fault-plan
+digests, host fingerprint for bench runs), per-phase timings (wall,
+CPU, peak RSS), the counter snapshot, and totals — as one JSON line
+under ``results/ledger/`` (deliberately **not** gitignored, so the
+trajectory accumulates across machines and commits):
 
-* every run appends one :class:`RunRecord` — run identity (seed,
-  workers, config/fault-plan digests), per-phase timings (wall, CPU,
-  peak RSS), key metrics, and totals — as one JSON line under
-  ``results/ledger/`` (deliberately **not** gitignored);
 * :class:`RunLedger` is the only sanctioned writer (lint rule RPL207
   flags raw ``open()`` writes under ``results/ledger/``), and its
   readers are *recovering*: a corrupted or truncated trailing line —
   the expected failure mode of append-only files — is skipped, never
   fatal;
-* :func:`diff_trajectory` replaces the single-baseline
-  ``diff_benchmarks`` flow with a **median-of-last-K** baseline, so
-  one outlier run cannot flip the regression gate.
+* :func:`diff_trajectory` is the perf-regression gate: it compares a
+  run phase-by-phase against the **median of the last K** comparable
+  records, so one outlier run cannot flip it.
 
 Determinism contract: record bodies never read the wall clock — a
 timestamp is *injected* by the caller (``append(record,
@@ -34,13 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .bench import (
-    DEFAULT_THRESHOLD,
-    MIN_COMPARABLE_SECONDS,
-    BenchDiff,
-    BenchResult,
-    PhaseDelta,
-)
 from .report import RunReport
 
 #: Format marker written into every ledger line.  v2 added the
@@ -64,6 +54,14 @@ BENCH_LEDGER_NAME = "bench.jsonl"
 
 #: Default trajectory window of :func:`diff_trajectory`.
 DEFAULT_LAST_K = 5
+
+#: Default regression gate: fail on >35% wall-clock slowdown.  Tiny
+#: workloads are seconds long, so tighter gates would trip on machine
+#: noise; calibrate down as workloads grow.
+DEFAULT_THRESHOLD = 0.35
+
+#: Phases faster than this are pure noise; the gate skips them.
+MIN_COMPARABLE_SECONDS = 0.05
 
 
 def stable_digest(obj: object, length: int = 12) -> str:
@@ -116,10 +114,12 @@ class RunRecord:
         """Distill a :class:`RunReport` into one ledger record.
 
         Phase timings aggregate every ``experiment.*`` span by name
-        (like ``BenchResult.capture``) and additionally keep the
-        per-phase peak RSS the resource sampler stamped; metrics copy
-        the counter snapshot (gauges/histograms are run-shape, not
-        trajectory material).
+        (wall-clock from span durations, CPU from the ``cpu_s``
+        attributes :func:`repro.obs.profiling.profile` records) and
+        keep the per-phase peak RSS the resource sampler stamped;
+        totals sum the *root* spans only (nested phases would
+        double-count); metrics copy the counter snapshot
+        (gauges/histograms are run-shape, not trajectory material).
         """
         phases: dict[str, dict[str, float]] = {}
         for span in report.phase_spans():
@@ -164,23 +164,6 @@ class RunRecord:
             phases=phases,
             metrics=dict(report.metrics.get("counters", {})),
             totals=totals,
-        )
-
-    @classmethod
-    def from_bench(cls, bench: BenchResult, **meta: object) -> "RunRecord":
-        """Wrap a ``BenchResult`` as a ``kind="bench"`` record."""
-        record_meta = dict(bench.meta)
-        record_meta.pop("runid", None)
-        record_meta.update(meta)
-        return cls(
-            runid=bench.runid,
-            kind="bench",
-            meta=record_meta,
-            phases={
-                name: dict(entry) for name, entry in bench.phases.items()
-            },
-            metrics={},
-            totals=dict(bench.totals),
         )
 
     # -- (de)serialization ------------------------------------------------
@@ -309,9 +292,15 @@ class RunLedger:
 
         Returns:
             The record as written (with ``ts`` applied).
+
+        Raises:
+            ValueError: if the record carries no runid (the readers
+                would skip such a line as corrupt).
         """
         from . import emit
 
+        if not record.runid:
+            raise ValueError("cannot append a ledger record without a runid")
         if timestamp is not None:
             record = RunRecord(
                 runid=record.runid,
@@ -400,9 +389,87 @@ class RunLedger:
         return points
 
 
+@dataclass(frozen=True)
+class PhaseDelta:
+    """One phase's before/after comparison."""
+
+    phase: str
+    previous_wall_s: float
+    current_wall_s: float
+
+    @property
+    def ratio(self) -> float:
+        """current/previous wall-clock (1.0 = unchanged)."""
+        if self.previous_wall_s <= 0:
+            return 1.0
+        return self.current_wall_s / self.previous_wall_s
+
+    @property
+    def change_pct(self) -> float:
+        return 100.0 * (self.ratio - 1.0)
+
+
+@dataclass
+class BenchDiff:
+    """Phase-by-phase comparison of two benchmark runs."""
+
+    previous_runid: str
+    current_runid: str
+    threshold: float
+    deltas: list[PhaseDelta] = field(default_factory=list)
+
+    @property
+    def regressions(self) -> list[PhaseDelta]:
+        """Deltas slower than the threshold on comparable phases."""
+        return [
+            delta
+            for delta in self.deltas
+            if delta.previous_wall_s >= MIN_COMPARABLE_SECONDS
+            and delta.ratio > 1.0 + self.threshold
+        ]
+
+    @property
+    def ok(self) -> bool:
+        return not self.regressions
+
+    def render(self) -> str:
+        """Aligned text table of every compared phase."""
+        headers = ("Phase", "Prev s", "Curr s", "Change")
+        rows = [
+            (
+                delta.phase,
+                f"{delta.previous_wall_s:.3f}",
+                f"{delta.current_wall_s:.3f}",
+                f"{delta.change_pct:+.1f}%"
+                + (
+                    "  << REGRESSION"
+                    if delta in self.regressions
+                    else ""
+                ),
+            )
+            for delta in self.deltas
+        ]
+        table = [headers, *rows]
+        widths = [
+            max(len(row[i]) for row in table) for i in range(len(headers))
+        ]
+        lines = [
+            "  ".join(
+                cell.ljust(width) for cell, width in zip(row, widths)
+            )
+            for row in table
+        ]
+        lines.insert(1, "  ".join("-" * width for width in widths))
+        lines.append(
+            f"(vs {self.previous_runid}, threshold "
+            f"+{100.0 * self.threshold:.0f}%)"
+        )
+        return "\n".join(lines)
+
+
 def diff_trajectory(
     baseline: Iterable[RunRecord] | RunLedger,
-    current: RunRecord | BenchResult,
+    current: RunRecord,
     threshold: float = DEFAULT_THRESHOLD,
     k: int = DEFAULT_LAST_K,
 ) -> BenchDiff:
@@ -410,11 +477,10 @@ def diff_trajectory(
 
     Per phase, the baseline is the **median** wall-clock across the
     newest ``k`` baseline records carrying that phase (the current
-    runid is excluded if present) — one anomalously slow or fast
-    historical run therefore cannot swing the gate the way the old
-    single-file ``diff_benchmarks`` baseline could.  Returns the same
-    :class:`BenchDiff` shape, so rendering and the regression check
-    are shared with the single-baseline flow.
+    runid is excluded if present), so one anomalously slow or fast
+    historical run cannot swing the gate.  Phases present only in the
+    current run are skipped (a new phase has no baseline); the wall
+    total is compared as a ``<total>`` row.
 
     Raises:
         ValueError: on a negative threshold, non-positive ``k``, or an
@@ -469,11 +535,14 @@ def diff_trajectory(
 
 __all__ = [
     "BENCH_LEDGER_NAME",
+    "BenchDiff",
     "DEFAULT_LAST_K",
+    "DEFAULT_THRESHOLD",
     "LEDGER_DIRNAME",
     "LEDGER_SCHEMA",
     "LEDGER_SCHEMA_V1",
     "MIN_COMPARABLE_SECONDS",
+    "PhaseDelta",
     "RunLedger",
     "RunRecord",
     "diff_trajectory",

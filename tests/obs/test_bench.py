@@ -1,22 +1,20 @@
-"""BENCH artifacts: capture, (de)serialization, and the diff gate."""
+"""scripts/bench.py: one ledger record per run, gated by diff_trajectory."""
 
 import importlib.util
-import json
 import time
 from pathlib import Path
 
 import pytest
 
 from repro import obs
+from repro.analysis import run_bench_workload
 from repro.obs import RunReport, profile
-from repro.obs.bench import (
-    BENCH_SCHEMA,
+from repro.obs.ledger import (
     MIN_COMPARABLE_SECONDS,
-    BenchResult,
-    diff_benchmarks,
-    find_previous,
+    RunLedger,
+    RunRecord,
+    diff_trajectory,
 )
-from repro.obs.ledger import RunLedger, RunRecord
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -39,9 +37,10 @@ def synthetic_report() -> RunReport:
     return RunReport.capture()
 
 
-def result_with(phases: dict[str, float], runid: str) -> BenchResult:
-    return BenchResult(
-        meta={"runid": runid},
+def record_with(phases: dict[str, float], runid: str) -> RunRecord:
+    return RunRecord(
+        runid=runid,
+        kind="bench",
         phases={
             name: {"wall_s": wall, "cpu_s": wall, "calls": 1}
             for name, wall in phases.items()
@@ -50,68 +49,95 @@ def result_with(phases: dict[str, float], runid: str) -> BenchResult:
     )
 
 
+def load_cli():
+    spec = importlib.util.spec_from_file_location(
+        "bench_cli_under_test", REPO_ROOT / "scripts" / "bench.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_files(*directories: Path) -> list[Path]:
+    """Any legacy per-run bench artifact left in ``directories``."""
+    return [
+        path
+        for directory in directories
+        for path in directory.iterdir()
+        if path.name.startswith("BENCH_")
+    ]
+
+
 class TestCapture:
     def test_phases_reconcile_with_the_span_tree(self):
         report = synthetic_report()
-        result = BenchResult.capture(report, "r1", scale="unit")
-        assert set(result.phases) == {
+        record = RunRecord.from_report(
+            report, "r1", kind="bench", scale="unit"
+        )
+        assert set(record.phases) == {
             "experiment.fake_collect",
             "experiment.fake_plan",
             "experiment.fake_classify",
         }
         (collect,) = report.find("experiment.fake_collect")
-        assert result.phases["experiment.fake_collect"][
+        assert record.phases["experiment.fake_collect"][
             "wall_s"
         ] == pytest.approx(collect.duration_s, abs=1e-6)
-        assert result.phases["experiment.fake_collect"]["cpu_s"] >= 0
+        assert record.phases["experiment.fake_collect"]["cpu_s"] >= 0
         # Totals sum root spans only: nested fake_plan is inside
         # fake_collect and must not double-count.
         roots = sum(span.duration_s for span in report.spans)
-        assert result.totals["wall_s"] == pytest.approx(
+        assert record.totals["wall_s"] == pytest.approx(
             roots, abs=1e-6
         )
-        assert result.meta == {"runid": "r1", "scale": "unit"}
+        assert record.kind == "bench"
+        assert record.meta["scale"] == "unit"
 
-    def test_capture_requires_experiment_spans(self):
-        with profile("network.deploy"):
-            pass
-        with pytest.raises(ValueError):
-            BenchResult.capture(RunReport.capture(), "r1")
+    def test_capture_requires_experiment_spans(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cli = load_cli()
+
+        def no_phases(scale_name="tiny", seed=7, **meta):
+            obs.reset()
+            obs.set_enabled(True)
+            with profile("network.deploy"):
+                pass
+            return RunReport.capture()
+
+        monkeypatch.setattr(cli, "run_bench_workload", no_phases)
+        ledger_path = tmp_path / "ledger.jsonl"
+        assert cli.main(["--ledger", str(ledger_path)]) != 0
+        assert "no experiment.* spans" in capsys.readouterr().err
+        assert not ledger_path.exists()
 
 
 class TestSerialization:
     def test_save_load_round_trip(self, tmp_path):
-        original = BenchResult.capture(synthetic_report(), "r1")
-        path = original.save(tmp_path)
-        assert path.name == "BENCH_r1.json"
-        loaded = BenchResult.load(path)
-        assert loaded.to_dict() == original.to_dict()
-        assert json.loads(path.read_text())["schema"] == BENCH_SCHEMA
-
-    def test_wrong_schema_rejected(self):
-        with pytest.raises(ValueError):
-            BenchResult.from_dict({"schema": "repro-bench/999"})
+        original = RunRecord.from_report(
+            synthetic_report(), "r1", kind="bench"
+        )
+        ledger = RunLedger(tmp_path / "bench.jsonl")
+        written = ledger.append(original, timestamp="T1")
+        (loaded,) = ledger.load()
+        assert loaded == written
+        assert loaded.phases == original.phases
+        assert loaded.totals == original.totals
 
     def test_save_without_runid_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            BenchResult().save(tmp_path)
-
-    def test_find_previous_is_newest_excluding_current(self, tmp_path):
-        assert find_previous(tmp_path) is None
-        for runid in ("20260801T0", "20260803T0", "20260802T0"):
-            result_with({"experiment.x": 1.0}, runid).save(tmp_path)
-        assert find_previous(tmp_path).name == "BENCH_20260803T0.json"
-        assert (
-            find_previous(tmp_path, exclude_runid="20260803T0").name
-            == "BENCH_20260802T0.json"
-        )
+        ledger = RunLedger(tmp_path / "bench.jsonl")
+        with pytest.raises(ValueError, match="runid"):
+            ledger.append(RunRecord(runid=""))
+        assert not ledger.path.exists()
 
 
 class TestDiffGate:
+    """The gate over a one-record window: a plain before/after diff."""
+
     def test_synthetic_slow_run_is_a_regression(self):
-        previous = result_with({"experiment.collect": 1.0}, "a")
-        current = result_with({"experiment.collect": 2.0}, "b")
-        diff = diff_benchmarks(previous, current, threshold=0.35)
+        previous = record_with({"experiment.collect": 1.0}, "a")
+        current = record_with({"experiment.collect": 2.0}, "b")
+        diff = diff_trajectory([previous], current, threshold=0.35)
         assert not diff.ok
         # Both the phase and the <total> row doubled.
         assert [d.phase for d in diff.regressions] == [
@@ -122,46 +148,39 @@ class TestDiffGate:
         assert "<< REGRESSION" in diff.render()
 
     def test_within_threshold_passes(self):
-        previous = result_with({"experiment.collect": 1.0}, "a")
-        current = result_with({"experiment.collect": 1.2}, "b")
-        assert diff_benchmarks(previous, current, threshold=0.35).ok
+        previous = record_with({"experiment.collect": 1.0}, "a")
+        current = record_with({"experiment.collect": 1.2}, "b")
+        assert diff_trajectory([previous], current, threshold=0.35).ok
 
     def test_sub_noise_phases_are_not_gated(self):
         wall = MIN_COMPARABLE_SECONDS / 2
-        previous = result_with({"experiment.collect": wall}, "a")
-        current = result_with({"experiment.collect": wall * 10}, "b")
-        assert diff_benchmarks(previous, current).ok
+        previous = record_with({"experiment.collect": wall}, "a")
+        current = record_with({"experiment.collect": wall * 10}, "b")
+        assert diff_trajectory([previous], current).ok
 
     def test_total_row_and_disjoint_phases(self):
-        previous = result_with(
+        previous = record_with(
             {"experiment.old": 1.0, "experiment.shared": 1.0}, "a"
         )
-        current = result_with(
+        current = record_with(
             {"experiment.new": 1.0, "experiment.shared": 1.0}, "b"
         )
-        diff = diff_benchmarks(previous, current)
+        diff = diff_trajectory([previous], current)
         assert [d.phase for d in diff.deltas] == [
             "experiment.shared",
             "<total>",
         ]
 
     def test_negative_threshold_rejected(self):
-        previous = result_with({"experiment.x": 1.0}, "a")
+        previous = record_with({"experiment.x": 1.0}, "a")
         with pytest.raises(ValueError):
-            diff_benchmarks(previous, previous, threshold=-0.1)
+            diff_trajectory(
+                [previous], record_with({}, "b"), threshold=-0.1
+            )
 
 
 class TestBenchCli:
-    """scripts/bench.py end-to-end with a stubbed-out workload."""
-
-    @staticmethod
-    def load_cli():
-        spec = importlib.util.spec_from_file_location(
-            "bench_cli_under_test", REPO_ROOT / "scripts" / "bench.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
+    """scripts/bench.py end-to-end against a scratch ledger."""
 
     @staticmethod
     def fake_workload(delay_s: float):
@@ -174,69 +193,53 @@ class TestBenchCli:
 
         return run
 
+    @staticmethod
+    def history(cli, ledger, walls, host=None):
+        """Append comparable bench records at the given phase walls."""
+        for i, wall in enumerate(walls):
+            hist = record_with(
+                {"experiment.fake_phase": wall}, f"hist_{i}"
+            )
+            hist.meta.update(
+                scale="micro",
+                workers=0,
+                host=host or cli.host_fingerprint(),
+            )
+            ledger.append(hist)
+
     def test_gate_trips_on_a_slow_run(self, tmp_path, monkeypatch):
-        cli = self.load_cli()
-        # Baseline claims the phase used to take 50ms; the stubbed
+        cli = load_cli()
+        # The baseline claims the phase used to take 50ms; the stubbed
         # current run sleeps 150ms -> x3 slowdown -> non-zero exit.
-        # --no-ledger exercises the legacy BENCH-file gate (a ledger
-        # trajectory would otherwise take precedence).
-        result_with({"experiment.fake_phase": 0.05}, "run_a").save(
-            tmp_path
-        )
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
+        self.history(cli, ledger, [0.05])
         monkeypatch.setattr(
             cli, "run_bench_workload", self.fake_workload(0.15)
         )
-        rc = cli.main(
-            [
-                "--scale",
-                "micro",
-                "--out-dir",
-                str(tmp_path),
-                "--runid",
-                "run_b",
-                "--no-ledger",
-            ]
-        )
-        assert rc == 1
-        assert (tmp_path / "BENCH_run_b.json").exists()
+        argv = ["--scale", "micro", "--ledger", str(ledger.path)]
+        assert cli.main([*argv, "--runid", "run_b"]) == 1
+        assert cli.main([*argv, "--runid", "run_c", "--no-gate"]) == 0
 
-    def test_first_run_has_no_gate(self, tmp_path, monkeypatch):
-        cli = self.load_cli()
+    def test_first_run_has_no_gate(self, tmp_path, monkeypatch, capsys):
+        cli = load_cli()
         monkeypatch.setattr(
             cli, "run_bench_workload", self.fake_workload(0.0)
         )
+        monkeypatch.chdir(tmp_path)
         ledger_path = tmp_path / "ledger.jsonl"
-        rc = cli.main(
-            [
-                "--out-dir",
-                str(tmp_path),
-                "--runid",
-                "run_a",
-                "--ledger",
-                str(ledger_path),
-            ]
-        )
+        rc = cli.main(["--runid", "run_a", "--ledger", str(ledger_path)])
         assert rc == 0
-        payload = json.loads(
-            (tmp_path / "BENCH_run_a.json").read_text()
-        )
-        assert payload["schema"] == BENCH_SCHEMA
-        # The run also landed on the ledger (default-on behavior).
+        assert "gate skipped" in capsys.readouterr().out
         records = RunLedger(ledger_path).trajectory(kind="bench")
         assert [record.runid for record in records] == ["run_a"]
+        assert bench_files(tmp_path, REPO_ROOT) == []
 
     def test_ledger_trajectory_gate_trips(self, tmp_path, monkeypatch):
-        cli = self.load_cli()
-        ledger_path = tmp_path / "ledger.jsonl"
-        ledger = RunLedger(ledger_path)
-        # Three comparable historical runs (same scale + workers as
-        # the CLI invocation below) at ~50ms median.
-        for i, wall in enumerate((0.05, 0.055, 0.05)):
-            hist = result_with(
-                {"experiment.fake_phase": wall}, f"hist_{i}"
-            )
-            hist.meta.update(scale="micro", workers=0)
-            ledger.append(RunRecord.from_bench(hist))
+        cli = load_cli()
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
+        # Three comparable historical runs (same scale, workers and
+        # host as the CLI invocation below) at ~50ms median.
+        self.history(cli, ledger, [0.05, 0.055, 0.05])
         monkeypatch.setattr(
             cli, "run_bench_workload", self.fake_workload(0.15)
         )
@@ -244,12 +247,10 @@ class TestBenchCli:
             [
                 "--scale",
                 "micro",
-                "--out-dir",
-                str(tmp_path),
                 "--runid",
                 "run_slow",
                 "--ledger",
-                str(ledger_path),
+                str(ledger.path),
             ]
         )
         assert rc == 1
@@ -257,3 +258,47 @@ class TestBenchCli:
         # the gate is advisory on top of it.
         records = ledger.trajectory(kind="bench")
         assert records[-1].runid == "run_slow"
+
+    def test_other_host_is_not_a_baseline(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cli = load_cli()
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
+        # A much faster prior run, but measured on other hardware.
+        self.history(cli, ledger, [0.05], host="elsewhere")
+        monkeypatch.setattr(
+            cli, "run_bench_workload", self.fake_workload(0.15)
+        )
+        argv = ["--scale", "micro", "--ledger", str(ledger.path)]
+        rc = cli.main([*argv, "--runid", "run_b"])
+        assert rc == 0
+        assert "gate skipped" in capsys.readouterr().out
+        assert ledger.load()[-1].meta["host"] == cli.host_fingerprint()
+
+    def test_micro_run_records_counters(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cli = load_cli()
+        reports: list[RunReport] = []
+
+        def keep_report(*args, **kwargs):
+            reports.append(run_bench_workload(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_bench_workload", keep_report)
+        monkeypatch.chdir(tmp_path)
+        ledger_path = tmp_path / "ledger.jsonl"
+        argv = ["--scale", "micro", "--ledger", str(ledger_path)]
+        rc = cli.main([*argv, "--runid", "run_a"])
+        assert rc == 0
+        assert "gate skipped" in capsys.readouterr().out
+        (record,) = RunLedger(ledger_path).load()
+        counters = reports[0].metrics["counters"]
+        for key in ("network.captures", "engine.organic_posts"):
+            assert record.metrics[key] > 0
+            assert record.metrics[key] == counters[key]
+        assert any(name.startswith("experiment.") for name in record.phases)
+        assert record.totals["wall_s"] > 0
+        assert record.meta["scale"] == "micro"
+        assert record.meta["host"] == cli.host_fingerprint()
+        assert bench_files(tmp_path, REPO_ROOT) == []

@@ -6,7 +6,6 @@ import pytest
 
 from repro import obs
 from repro.obs import RunLedger, RunRecord, diff_trajectory, stable_digest
-from repro.obs.bench import BenchResult
 from repro.obs.ledger import LEDGER_SCHEMA, LEDGER_SCHEMA_V1
 
 
@@ -56,7 +55,7 @@ class TestRunRecord:
 
     def test_wrong_schema_rejected(self):
         payload = record("r1").to_dict()
-        payload["schema"] = "repro-bench/1"
+        payload["schema"] = "not-a-ledger/1"
         with pytest.raises(ValueError, match="repro-ledger/2"):
             RunRecord.from_dict(payload)
 
@@ -105,18 +104,21 @@ class TestRunRecord:
         assert rec.value("phases.experiment.classify.nope") is None
         assert rec.value("nonsense.key") is None
 
-    def test_from_bench_wraps_result(self):
-        bench = BenchResult(
-            meta={"runid": "b1", "scale": "micro", "workers": 2},
-            phases={"experiment.warm_up": {"wall_s": 0.5}},
-            totals={"wall_s": 0.5},
+    def test_from_report_keeps_counters_and_meta(self):
+        obs.get_registry().counter("network.captures").inc(7)
+        with obs.profile("experiment.warm_up"):
+            pass
+        rec = RunRecord.from_report(
+            obs.RunReport.capture(scale="micro"),
+            "b1",
+            kind="bench",
+            extra="yes",
         )
-        rec = RunRecord.from_bench(bench, extra="yes")
         assert rec.kind == "bench"
         assert rec.runid == "b1"
-        assert "runid" not in rec.meta
-        assert rec.meta["extra"] == "yes"
-        assert rec.phases["experiment.warm_up"]["wall_s"] == 0.5
+        assert rec.meta == {"scale": "micro", "extra": "yes"}
+        assert rec.metrics["network.captures"] == 7
+        assert rec.phases["experiment.warm_up"]["calls"] == 1
 
 
 class TestStableDigest:
@@ -286,16 +288,11 @@ class TestDiffTrajectory:
         assert diff.deltas[0].previous_wall_s == 1.0
         assert diff.ok
 
-    def test_accepts_a_ledger_and_a_bench_result(self, tmp_path):
+    def test_accepts_a_ledger(self, tmp_path):
         ledger = RunLedger(tmp_path / "runs.jsonl")
         for i in range(3):
             ledger.append(record(f"h{i}", wall=1.0))
-        current = BenchResult(
-            meta={"runid": "new"},
-            phases={"experiment.classify": {"wall_s": 1.0}},
-            totals={"wall_s": 2.0},
-        )
-        assert diff_trajectory(ledger, current).ok
+        assert diff_trajectory(ledger, record("new", wall=1.0)).ok
 
     def test_validates_inputs(self):
         history = [record("h1")]
