@@ -9,12 +9,15 @@ paths are element-work bound — so the gate pins the deployment shape,
 not a synthetic giant matrix.  Parity is asserted in the same breath:
 a fast wrong answer must fail here, not in production.
 
-Skipped below 4 CPUs: a loaded single core measures scheduler noise.
+Both paths are single-threaded, so the gate runs on any machine.  To
+keep host-speed drift out of the ratio, the two paths are timed in
+interleaved rounds (trees, compiled, trees, compiled, ...) and the
+gate reads the median of the per-round ratios.
 """
 
 from __future__ import annotations
 
-import os
+import statistics
 import time
 
 import numpy as np
@@ -23,16 +26,12 @@ import pytest
 from repro.ml.forest import RandomForestClassifier
 from repro.obs import reset, set_enabled
 
-MIN_CPUS = 4
 MIN_SPEEDUP = 2.0
 #: The service's scoring shape: a stream of small flush batches.
 BATCH_ROWS = 256
 N_BATCHES = 60
-
-pytestmark = pytest.mark.skipif(
-    (os.cpu_count() or 1) < MIN_CPUS,
-    reason=f"needs >= {MIN_CPUS} CPUs for a meaningful speedup",
-)
+#: Interleaved (trees, compiled) timing rounds.
+ROUNDS = 5
 
 
 @pytest.fixture(autouse=True)
@@ -72,20 +71,23 @@ def test_compiled_inference_speedup_with_identical_probabilities():
     forest.predict_proba_trees(batches[0])
     compiled.predict_proba(batches[0])
 
-    start = time.perf_counter()
-    reference = [forest.predict_proba_trees(X) for X in batches]
-    t_trees = time.perf_counter() - start
+    def timed(predict) -> tuple[float, list[np.ndarray]]:
+        start = time.perf_counter()
+        out = [predict(X) for X in batches]
+        return time.perf_counter() - start, out
 
-    start = time.perf_counter()
-    fast = [compiled.predict_proba(X) for X in batches]
-    t_compiled = time.perf_counter() - start
+    ratios = []
+    for __ in range(ROUNDS):
+        t_trees, reference = timed(forest.predict_proba_trees)
+        t_compiled, fast = timed(compiled.predict_proba)
+        for ref, got in zip(reference, fast):
+            assert np.array_equal(ref, got)
+        ratios.append(t_trees / t_compiled)
 
-    for ref, got in zip(reference, fast):
-        assert np.array_equal(ref, got)
-
-    speedup = t_trees / t_compiled
+    speedup = statistics.median(ratios)
     assert speedup >= MIN_SPEEDUP, (
-        f"compiled inference speedup {speedup:.2f}x on "
-        f"{N_BATCHES}x{BATCH_ROWS}-row batches "
-        f"(trees {t_trees:.3f}s, compiled {t_compiled:.3f}s)"
+        f"compiled inference speedup {speedup:.2f}x (median of "
+        f"{ROUNDS} interleaved rounds: "
+        f"{', '.join(f'{r:.2f}' for r in ratios)}) on "
+        f"{N_BATCHES}x{BATCH_ROWS}-row batches"
     )

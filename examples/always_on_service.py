@@ -3,8 +3,8 @@
 The batch pipeline classifies a capture set after the fact; the
 service scores it *while monitoring*: every hour's captures flow
 through a bounded ingestion queue on a virtual-clock scheduler, are
-featurized incrementally against the LRU profile cache, and are scored
-in batches through the compiled forest — with the health watchdog
+featurized one flushed batch at a time by the columnar extractor, and
+are scored in batches through the compiled forest — with the health watchdog
 listening for queue saturation and cache collapse the whole time.
 
 1. train the detector exactly as the batch pipeline does;

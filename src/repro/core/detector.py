@@ -30,6 +30,24 @@ def default_classifier(seed: int = 0) -> RandomForestClassifier:
     )
 
 
+def extract_captures(
+    extractor: FeatureExtractor,
+    captures: list[CapturedTweet],
+    labels: np.ndarray | None = None,
+) -> np.ndarray:
+    """(n, 58) features of time-ordered captures through ``extractor``.
+
+    Each capture's crossed nodes resolve its receiver; ``labels``
+    (training) feed confirmed spams back row by row.
+    """
+    return extractor.extract_batch(
+        [c.tweet for c in captures],
+        [c.attribute_keys for c in captures],
+        [c.node_user_ids for c in captures],
+        labels,
+    )
+
+
 @dataclass
 class ClassificationOutcome:
     """Result of classifying a captured stream."""
@@ -105,13 +123,7 @@ class PseudoHoneypotDetector:
         """
         captures = sorted(captures, key=lambda c: c.tweet.created_at)
         extractor = FeatureExtractor(environment=self.environment)
-        rows = np.empty((len(captures), 58))
-        for i, capture in enumerate(captures):
-            extractor.set_honeypot_ids(set(capture.node_user_ids))
-            rows[i] = extractor.extract(capture.tweet, capture.attribute_keys)
-            if labels is not None and labels[i]:
-                extractor.notify_spam(capture.tweet, capture.attribute_keys)
-        return rows
+        return extract_captures(extractor, captures, labels)
 
     def fit(
         self, captures: list[CapturedTweet], labels: np.ndarray
@@ -182,12 +194,7 @@ class PseudoHoneypotDetector:
         spammer_ids: set[int] = set()
         for start in range(0, len(ordered), chunk_size):
             chunk = ordered[start : start + chunk_size]
-            X = np.empty((len(chunk), 58))
-            for i, capture in enumerate(chunk):
-                extractor.set_honeypot_ids(set(capture.node_user_ids))
-                X[i] = extractor.extract(
-                    capture.tweet, capture.attribute_keys
-                )
+            X = extract_captures(extractor, chunk)
             verdicts = np.asarray(
                 self.classifier.predict(X), dtype=np.int64
             )

@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..twittersim.entities import Tweet, TweetKind, TweetSource
 
 _KIND_SLOT = {
@@ -32,34 +30,30 @@ _SOURCE_SLOT = {
 
 @dataclass
 class UserActivity:
-    """Running per-user stream statistics."""
+    """Running per-user stream statistics.
 
-    kind_counts: np.ndarray = field(
-        default_factory=lambda: np.zeros(3, dtype=np.float64)
-    )
-    source_counts: np.ndarray = field(
-        default_factory=lambda: np.zeros(4, dtype=np.float64)
-    )
+    The fractions are kept current by :meth:`record` as plain Python
+    floats, so the extractor reads them once per row without
+    recomputing.  Each :meth:`record` adds exactly one count, so
+    ``n_tweets`` is the counts' sum; an int-by-int true division is
+    the correctly rounded quotient, the same float64 a NumPy division
+    of the converted counts gives.
+    """
+
+    kind_counts: list[int] = field(default_factory=lambda: [0, 0, 0])
+    source_counts: list[int] = field(default_factory=lambda: [0, 0, 0, 0])
     n_tweets: int = 0
     last_tweet_at: float | None = None
     total_interval: float = 0.0
-
-    def kind_fractions(self) -> np.ndarray:
-        """(tweet, retweet, quote) fractions; zeros before any tweet.
-
-        Each :meth:`record` adds exactly one count, so ``n_tweets`` is
-        the counts' sum — no per-call reduction needed (the int
-        divisor converts to the identical float64).
-        """
-        total = self.n_tweets
-        return self.kind_counts / total if total else self.kind_counts.copy()
-
-    def source_fractions(self) -> np.ndarray:
-        """(web, mobile, third-party, other) fractions."""
-        total = self.n_tweets
-        return (
-            self.source_counts / total if total else self.source_counts.copy()
-        )
+    #: (tweet, retweet, quote) fractions; zeros before any tweet.
+    kind_fractions: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    #: (web, mobile, third-party, other) fractions.
+    source_fractions: tuple[float, float, float, float] = (
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+    )
 
     def average_interval(self) -> float:
         """Mean seconds between consecutive observed tweets (0 if < 2)."""
@@ -68,14 +62,20 @@ class UserActivity:
 
     def record(self, tweet: Tweet) -> None:
         """Fold one authored tweet into the statistics."""
-        self.kind_counts[_KIND_SLOT[tweet.kind]] += 1
-        self.source_counts[_SOURCE_SLOT[tweet.source]] += 1
+        kinds = self.kind_counts
+        sources = self.source_counts
+        kinds[_KIND_SLOT[tweet.kind]] += 1
+        sources[_SOURCE_SLOT[tweet.source]] += 1
         if self.last_tweet_at is not None:
             gap = tweet.created_at - self.last_tweet_at
             if gap > 0:
                 self.total_interval += gap
         self.last_tweet_at = tweet.created_at
-        self.n_tweets += 1
+        self.n_tweets = n = self.n_tweets + 1
+        k0, k1, k2 = kinds
+        self.kind_fractions = (k0 / n, k1 / n, k2 / n)
+        s0, s1, s2, s3 = sources
+        self.source_fractions = (s0 / n, s1 / n, s2 / n, s3 / n)
 
 
 class BehaviorTracker:

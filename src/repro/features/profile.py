@@ -5,82 +5,43 @@ the sender and — when the tweet mentions a pseudo-honeypot node — the
 receiver.  Tweets without an applicable receiver get a zero block
 (footnote 2: receiver features exist only for receivers we can single
 out).
+
+The extractor gathers each row's raw profile fields and
+:func:`profile_block` turns a whole batch of them into feature blocks
+column-wise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..twittersim.entities import UserProfile
-from .textstats import count_digits, count_emoji
+from ..twittersim.clock import SECONDS_PER_DAY
 
 N_PROFILE_FEATURES = 16
 
-#: Feature slots that depend on ``now`` (age and the per-day averages);
-#: every other slot is a pure function of the profile fields.
-AGE_DEPENDENT_SLOTS = (2, 4, 6, 7)
 
-#: Character-class statistics are pure functions of the description
-#: string, and descriptions repeat massively (one per account, embedded
-#: in every tweet snapshot), so they memoize collision-free on the
-#: string itself.  The cap only bounds pathological churn.
-_DESC_STATS_CAP = 200_000
-_desc_stats: dict[str, tuple[int, int]] = {}
+def profile_block(fields: np.ndarray, now: np.ndarray) -> np.ndarray:
+    """The (m, 16) profile features of m gathered profiles.
 
+    Args:
+        fields: (m, 13) float64 raw fields: friends, followers,
+            statuses, listed and favourites counts, verified, default
+            profile image, screen-name, name and description lengths,
+            description emoji and digit counts, and ``created_at``.
+        now: (m,) extraction time of each row.
 
-def _description_stats(text: str) -> tuple[int, int]:
-    stats = _desc_stats.get(text)
-    if stats is None:
-        if len(_desc_stats) >= _DESC_STATS_CAP:
-            _desc_stats.clear()
-        stats = (count_emoji(text), count_digits(text))
-        _desc_stats[text] = stats
-    return stats
-
-
-def profile_features(profile: UserProfile, now: float) -> np.ndarray:
-    """The 16 profile features of one account at time ``now``."""
-    age = profile.age_days(now)
-    n_emoji, n_digits = _description_stats(profile.description)
-    return np.array(
-        [
-            float(profile.friends_count),
-            float(profile.followers_count),
-            age,
-            float(profile.statuses_count),
-            profile.statuses_count / age,
-            float(profile.listed_count),
-            profile.listed_count / age,
-            profile.favourites_count / age,
-            float(profile.favourites_count),
-            float(profile.verified),
-            float(profile.default_profile_image),
-            float(len(profile.screen_name)),
-            float(len(profile.name)),
-            float(len(profile.description)),
-            float(n_emoji),
-            float(n_digits),
-        ]
-    )
-
-
-def refresh_age_slots(
-    vector: np.ndarray, profile: UserProfile, now: float
-) -> np.ndarray:
-    """Rewrite the ``now``-dependent slots of a cached feature vector.
-
-    The expressions mirror :func:`profile_features` exactly, so a
-    cached vector with refreshed age slots is bitwise-equal to a fresh
-    extraction.
+    Age is ``max((now - created_at) / SECONDS_PER_DAY, 1.0)`` days —
+    clamped so the per-day averages stay finite for brand-new
+    accounts — and each per-day average divides its count by it.
     """
-    age = profile.age_days(now)
-    vector[2] = age
-    vector[4] = profile.statuses_count / age
-    vector[6] = profile.listed_count / age
-    vector[7] = profile.favourites_count / age
-    return vector
-
-
-def empty_profile_features() -> np.ndarray:
-    """Zero block used when no receiver profile is available."""
-    return np.zeros(N_PROFILE_FEATURES)
+    out = np.empty((len(fields), N_PROFILE_FEATURES))
+    age = np.maximum((now - fields[:, 12]) / SECONDS_PER_DAY, 1.0)
+    out[:, 0:2] = fields[:, 0:2]  # friends, followers
+    out[:, 2] = age
+    out[:, 3] = fields[:, 2]  # statuses
+    np.divide(fields[:, 2], age, out=out[:, 4])
+    out[:, 5] = fields[:, 3]  # listed
+    np.divide(fields[:, 3], age, out=out[:, 6])
+    np.divide(fields[:, 4], age, out=out[:, 7])
+    out[:, 8:16] = fields[:, 4:12]  # favourites .. description digits
+    return out

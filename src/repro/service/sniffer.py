@@ -2,11 +2,12 @@
 
 Turns the batch pipeline (select → monitor → label → train →
 classify) into a long-running deployment shape: captured tweets flow
-through a bounded ingestion queue on a virtual-clock scheduler,
-features are extracted incrementally per tweet against the shared
-LRU profile-feature cache, and batches are scored through the
-compiled-forest inference path, feeding confirmed spams back into the
-environment-score tracker exactly as live collection would.
+through a bounded ingestion queue on a virtual-clock scheduler, each
+flushed batch is featurized by one ``extract_batch`` call on a
+long-lived extractor (the same columnar path ``classify`` uses) and
+scored through the compiled-forest inference path, feeding confirmed
+spams back into the environment-score tracker exactly as live
+collection would.
 
 Semantics contract with the batch path: a zero-fault service run over
 a fixed capture set, with ``batch_size`` equal to ``classify``'s
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.detector import PseudoHoneypotDetector
+from ..core.detector import PseudoHoneypotDetector, extract_captures
 from ..core.monitor import CapturedTweet
 from ..core.network import PseudoHoneypotNetwork
 from ..features.extractor import FeatureExtractor
@@ -111,7 +112,7 @@ class SnifferService:
         batch_size: tweets scored per inference call.
         flush_interval_s: virtual-clock deadline for partial batches.
         profile_cache_cap: LRU entry cap for the extractor's
-            profile-feature memo (None = extractor default).
+            description-statistics memo (None = extractor default).
         keep_features: retain every scored feature row for
             batch-vs-service equality tests (memory-heavy; tests only).
 
@@ -242,12 +243,7 @@ class SnifferService:
         if not batch:
             return
         start = time.perf_counter()
-        X = np.empty((len(batch), N_FEATURES))
-        for i, capture in enumerate(batch):
-            self.extractor.set_honeypot_ids(set(capture.node_user_ids))
-            X[i] = self.extractor.extract(
-                capture.tweet, capture.attribute_keys
-            )
+        X = extract_captures(self.extractor, batch)
         proba = np.asarray(self.detector.classifier.predict_proba(X))[:, 1]
         elapsed = time.perf_counter() - start
         n_spams = 0

@@ -1,20 +1,21 @@
 """LRUCache semantics + the "eviction never changes a feature" contract.
 
 Two layers: the cache itself (recency order, eviction at cap, counter
-reconciliation) and the extractor built on it — feature vectors must be
-bitwise-identical whether the profile memo always hits, always thrashes
-(capacity 1), or sits at the default cap, because a hit is defined as
-``refresh_age_slots`` over the cached base, which recomputes exactly
-the slots that depend on *now*.
+reconciliation) and the extractor built on it — feature matrices must
+be bitwise-identical whether the description-statistics memo always
+hits, always thrashes (capacity 1), or sits at the default cap, because
+it memoizes a pure function of the description string.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core.detector import extract_captures
 from repro.features.extractor import FeatureExtractor
-from repro.features.profile import profile_features
 from repro.obs import get_registry
 from repro.service.cache import LRUCache
 
@@ -86,13 +87,7 @@ class TestLRUSemantics:
 class TestExtractorCacheEquivalence:
     def _vectors(self, captures, cap: int | None) -> np.ndarray:
         extractor = FeatureExtractor(profile_cache_cap=cap)
-        rows = np.empty((len(captures), 58))
-        for i, capture in enumerate(captures):
-            extractor.set_honeypot_ids(set(capture.node_user_ids))
-            rows[i] = extractor.extract(
-                capture.tweet, capture.attribute_keys
-            )
-        return rows
+        return extract_captures(extractor, captures)
 
     def test_thrashing_cache_is_bitwise_identical(self, capture_stream):
         ordered = sorted(
@@ -105,22 +100,24 @@ class TestExtractorCacheEquivalence:
         assert np.array_equal(default, roomy)
 
     def test_cache_hit_equals_recompute(self, capture_stream):
-        profile = capture_stream[0].tweet.user
+        tweet = capture_stream[0].tweet
+        first = replace(tweet, created_at=100.0, mentions=())
+        later = replace(tweet, created_at=7_200.0, mentions=())
         extractor = FeatureExtractor()
-        first = extractor._profile_features_cached(profile, 100.0)
-        assert np.array_equal(first, profile_features(profile, 100.0))
-        later = extractor._profile_features_cached(profile, 7_200.0)
+        extractor.extract_batch([first])
+        hit = extractor.extract_batch([later])[0]
         assert extractor.profile_cache_hits == 1
-        assert np.array_equal(later, profile_features(profile, 7_200.0))
+        assert extractor.profile_cache_misses == 1
+        fresh = FeatureExtractor().extract_batch([later])[0]
+        assert np.array_equal(hit[0:16], fresh[0:16])
 
     def test_registry_mirror_matches_cache_counters(self, capture_stream):
         ordered = sorted(
             capture_stream, key=lambda c: c.tweet.created_at
         )
         extractor = FeatureExtractor()
-        for capture in ordered:
-            extractor.set_honeypot_ids(set(capture.node_user_ids))
-            extractor.extract(capture.tweet, capture.attribute_keys)
+        for start in range(0, len(ordered), 64):
+            extract_captures(extractor, ordered[start : start + 64])
         counters = get_registry().counter_values("features.profile_cache")
         assert counters["features.profile_cache.hits"] == (
             extractor.profile_cache_hits
@@ -130,6 +127,6 @@ class TestExtractorCacheEquivalence:
         )
         assert (
             extractor.profile_cache_hits + extractor.profile_cache_misses
-            == extractor._pf_cache.lookups
+            == extractor._desc_stats.lookups
         )
         assert extractor.profile_cache_misses > 0
