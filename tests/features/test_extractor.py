@@ -143,9 +143,7 @@ class TestExtraction:
         idx = feature_index("environment_score")
         attrs = ("lists_count",)
         baseline = extractor.extract(tweet(1, 1.0), attrs)[idx]
-        spammy = tweet(2, 2.0)
-        extractor.extract(spammy, attrs)
-        extractor.notify_spam(spammy, attrs)
+        extractor.extract_batch([tweet(2, 2.0)], [attrs], labels=[1])
         after = extractor.extract(tweet(3, 3.0), attrs)[idx]
         assert baseline == extractor.environment.tau
         assert after > baseline
