@@ -1,17 +1,20 @@
 """Committed golden digests of the extraction and scoring outputs.
 
 For ``micro`` seeds 7 and 23 the paper pipeline runs up to the full
-attribute sweep, then four outputs are pinned by ``stable_digest``:
+attribute sweep, then six outputs are pinned by ``stable_digest``:
 
+* ``firehose`` — every tweet the engine emits, as ``to_json()``, from
+  a subscriber attached right after the world is built,
 * ``fit_features`` — the training matrix ``fit`` extracts (labels fed
   back as they stream past),
 * ``classify_features`` — every matrix ``classify`` hands the forest,
 * ``verdicts`` — the classify verdicts and spammer set,
 * ``service_log`` — the ``SnifferService`` verdict log of a replay of
-  the same captures through a copy of the trained detector.
+  the same captures through a copy of the trained detector,
+* ``table6`` — the Table VI ``ranking_payload`` of the sweep.
 
-A change that moves any of them changes extraction or scoring, not
-just its speed.  To re-bless after an intended change, run::
+A change that moves any of them changes the simulated world,
+extraction or scoring, not just its speed.  To re-bless after an intended change, run::
 
     PYTHONPATH=src python -m tests.golden.test_golden --bless
 
@@ -30,6 +33,7 @@ import pytest
 
 from repro.analysis.bench import workload_scale
 from repro.core.experiment import PseudoHoneypotExperiment
+from repro.core.pge import pge_by_sample, ranking_payload
 from repro.obs import reset, stable_digest
 from repro.service.sniffer import SnifferService
 
@@ -48,6 +52,10 @@ def compute_digests(seed: int) -> dict[str, str]:
     scale = workload_scale("micro", seed=seed)
     experiment = PseudoHoneypotExperiment(
         scale.sim, candidate_pool=scale.candidate_pool, workers=0
+    )
+    firehose: list[dict] = []
+    experiment.engine.subscribe(
+        lambda tweet: firehose.append(tweet.to_json())
     )
     experiment.warm_up(scale.warmup_hours)
     collection = experiment.collect_ground_truth(
@@ -90,6 +98,10 @@ def compute_digests(seed: int) -> dict[str, str]:
         del classifier.predict
 
     return {
+        "firehose": stable_digest(firehose),
+        "table6": stable_digest(
+            ranking_payload(pge_by_sample(outcome, sweep.exposure))
+        ),
         "fit_features": _matrix_digest(fit_X),
         "classify_features": _matrix_digest(np.vstack(seen)),
         "verdicts": stable_digest(
