@@ -34,8 +34,8 @@ from ..obs.ledger import RunLedger, RunRecord, stable_digest
 from ..parallel import executor
 from ..twittersim.api.rest import RestClient
 from ..twittersim.config import SimulationConfig
+from ..twittersim.engine import build_engine
 from ..twittersim.population import build_population
-from ..twittersim.sharded import build_engine
 from .detector import ClassificationOutcome, PseudoHoneypotDetector
 from .monitor import CapturedTweet
 from .network import (

@@ -42,7 +42,8 @@ SPAMMER_KIND_PROBS = np.array([0.90, 0.06, 0.04])
 
 # Cumulative thresholds as plain Python floats: the draw below is a
 # 3-4 way comparison chain, which beats even the ndarray.searchsorted
-# method (these run once or twice per finalized tweet).  The chain
+# method (these run once or twice per finalized tweet); the organic
+# array draws below searchsorted the same thresholds.  The chain
 # picks the first threshold >= r — exactly searchsorted(side="left").
 _NORMAL_SOURCE_T = tuple(np.cumsum(NORMAL_SOURCE_PROBS).tolist())
 _SPAMMER_SOURCE_T = tuple(np.cumsum(SPAMMER_SOURCE_PROBS).tolist())
@@ -68,6 +69,29 @@ def draw_kind(rng: np.random.Generator, spammer: bool) -> TweetKind:
     if r <= t[0]:
         return _KINDS[0]
     return _KINDS[1] if r <= t[1] else _KINDS[2]
+
+
+def draw_organic_sources(
+    rng: np.random.Generator, size: int
+) -> list[TweetSource]:
+    """``size`` organic client sources in one array draw.
+
+    Same law as ``draw_source(rng, spammer=False)``: the first
+    threshold >= r, i.e. ``searchsorted(side="left")``.
+    """
+    codes = np.searchsorted(_NORMAL_SOURCE_T[:-1], rng.random(size))
+    return [_SOURCES[c] for c in codes.tolist()]
+
+
+def draw_organic_kinds(
+    rng: np.random.Generator, size: int
+) -> list[TweetKind]:
+    """``size`` organic post kinds in one array draw.
+
+    Same law as ``draw_kind(rng, spammer=False)``.
+    """
+    codes = np.searchsorted(_NORMAL_KIND_T[:-1], rng.random(size))
+    return [_KINDS[c] for c in codes.tolist()]
 
 
 #: Median organic reaction delay to a post (seconds): ~20 minutes.

@@ -78,11 +78,12 @@ class SimulationConfig:
     # (bitwise-identical to object mode; see the columnar parity
     # suite).  Object mode remains only as the parity baseline.
     columnar: bool = True
-    # Shard the per-hour emission loop by account range across this
-    # many workers (0 = legacy single-stream path).  Sharded streams
-    # are bit-identical across worker counts but differ from the
-    # unsharded stream (per-shard RNG substreams).
-    engine_shards: int = 0
+    # Split the account range into this many shards, each drawing its
+    # organic posts from its own (seed, hour, shard) substream.  The
+    # shard count is part of the world: a different count is a
+    # different stream.  The worker count that runs the shards never
+    # changes a byte.
+    engine_shards: int = 1
 
     def __post_init__(self) -> None:
         if self.n_normal_users < 10:
@@ -97,6 +98,8 @@ class SimulationConfig:
             raise ValueError("session_on_fraction must be in (0, 1]")
         if self.session_mean_hours < 1:
             raise ValueError("session_mean_hours must be >= 1")
+        if self.engine_shards < 1:
+            raise ValueError("engine_shards must be >= 1")
 
     @classmethod
     def small(cls, seed: int = 7, **overrides: object) -> "SimulationConfig":

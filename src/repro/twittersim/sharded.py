@@ -1,28 +1,30 @@
-"""Account-range sharding of the engine hour loop.
+"""Column-wise organic-post draws for one shard-hour.
 
-``SimulationConfig.engine_shards > 0`` switches the engine's dominant
-per-account phase — organic post emission — to a fan-out over
+The engine splits its account range into ``SimulationConfig.engine_shards``
+contiguous shards (one by default) and hands each shard's posting
+accounts for the hour to :func:`emit_shard`, through
 ``repro.parallel``.  The contract has two halves:
 
 * **The shard count defines the stream.**  Shard ``s`` of hour ``h``
   draws every per-post random variable (timing, hashtags, topic, kind,
-  text) from its own ``np.random.default_rng([seed, hour, shard])``
-  substream.  Running the same world with a different shard count is a
-  *different* (equally valid) world — exactly like changing the seed.
+  client source, text) from its own
+  ``np.random.default_rng([seed, hour, shard])`` substream, one array
+  per variable over the whole shard-hour.  Running the same world with
+  a different shard count is a *different* (equally valid) world —
+  exactly like changing the seed.
 * **The worker count never does.**  Shard tasks are pure functions of
   their picklable payload, ``parallel_map`` gathers results in
-  submission order, and the parent replays the merge (trending
+  submission order, and the engine replays the merge (trending
   records, tweet finalization, stats) shard-by-shard in ascending
   shard order.  ``workers=0`` and ``workers=N`` produce bit-identical
   tweet streams, PGE tables, and report payloads.
 
-Everything the per-post loop needs from the parent that is *not*
-per-post randomness — burst-session state, Poisson post counts, the
-suspension filter — is drawn from the parent's single stream before
-the fan-out, so it is worker-count independent by construction.
-Replies, spam, suspension, and tweet finalization (snowflake ids,
-source draws, profile counters) stay on the parent stream, exactly as
-in the unsharded engine.
+Everything the shard needs from the parent that is *not* per-post
+randomness — burst-session state, Poisson post counts, the suspension
+filter — is drawn from the parent's stream before the fan-out, so it
+is worker-count independent by construction.  Replies, spam,
+suspension, snowflake ids and profile counters stay on the parent
+stream.
 
 Worker-side telemetry (the ``engine.shard.*`` counters below) flows
 back through :mod:`repro.parallel.obsmerge`, so counter totals
@@ -31,21 +33,15 @@ reconcile at any worker count.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..obs import get_registry
-from ..parallel import parallel_map
 from . import behavior
-from .clock import SECONDS_PER_HOUR
-from .engine import HourStats, TwitterEngine
-from .entities import Tweet, TweetKind
+from .entities import TweetKind, TweetSource
 from .hashtags import HASHTAG_POOLS, HashtagCategory
-from .population import Population
-from .text import TextGenerator
-from .trending import DEFAULT_TOPICS
+from .text import BENIGN_WORDS, EMOJI
 
 
 @dataclass(frozen=True)
@@ -68,203 +64,119 @@ class ShardTask:
     ]
 
 
-#: A shard-emitted proto-post: ``(row, created_at, text, kind,
+#: A shard-emitted proto-post: ``(row, created_at, text, kind, source,
 #: hashtags, topic)``.  Plain data — the parent owns finalization.
 ProtoPost = tuple[
-    int, float, str, TweetKind, tuple[str, ...], "str | None"
+    int, float, str, TweetKind, TweetSource, tuple[str, ...], "str | None"
 ]
+
+#: P(an author with interests tags the post), then P(two tags).
+TAG_PROB = 0.7
+TWO_TAGS_PROB = 0.2
+#: Organic body: 4-14 words, then maybe a 1-999 number, maybe an emoji.
+MIN_WORDS, MAX_WORDS = 4, 14
+DIGIT_PROB = 0.2
+EMOJI_PROB = 0.25
+
+# Categories ride through the draws as int codes into these tables.
+_CATEGORY_CODE = {category: i for i, category in enumerate(HASHTAG_POOLS)}
+_POOLS = tuple(HASHTAG_POOLS.values())
+_POOL_SIZES = np.array([len(pool) for pool in _POOLS])
+_WORDS = np.array(BENIGN_WORDS, dtype=object)
 
 
 def emit_shard(task: ShardTask) -> list[ProtoPost]:
-    """Generate one shard's proto-posts from its private substream.
+    """Generate one shard-hour's proto-posts from its private substream.
 
     Pure function of the task payload: runs identically inside a pool
-    worker or inline in the parent process.  The per-post draw
-    sequence mirrors ``TwitterEngine._make_organic_post`` exactly —
-    only the generator differs.
+    worker or inline in the parent process.  Every per-post variable is
+    one array draw over the shard-hour, in a fixed order; only string
+    assembly runs per post.
     """
-    rng = np.random.default_rng([task.seed, task.hour, task.shard])
-    text_gen = TextGenerator(rng)
-    t0 = task.t0
-    span = task.t_end - t0
-    topic_cdf = task.topic_cdf
-    topics = task.topics
-    protos: list[ProtoPost] = []
-    for row, n_posts, interests, affinity in task.posting:
-        for __ in range(n_posts):
-            created_at = t0 + span * rng.random()
-            hashtags: tuple[str, ...] = ()
-            if interests and rng.random() < 0.7:
-                category = interests[
-                    int(rng.integers(0, len(interests)))
-                ]
-                pool = HASHTAG_POOLS[category]
-                if rng.random() < 0.8:
-                    hashtags = (pool[int(rng.integers(0, len(pool)))],)
-                else:
-                    picks = rng.choice(len(pool), size=2, replace=False)
-                    hashtags = tuple(pool[int(j)] for j in picks)
-            topic: str | None = None
-            if rng.random() < affinity:
-                topic = topics[bisect_right(topic_cdf, rng.random())]
-            kind = behavior.draw_kind(rng, spammer=False)
-            text = text_gen.benign_text()
-            if topic is not None:
-                text = f"{text} #{topic}"
-            if hashtags:
-                text = text + " " + " ".join(f"#{h}" for h in hashtags)
-            protos.append(
-                (row, created_at, text, kind, hashtags, topic)
-            )
+    posting = task.posting
+    per_account = np.array([p[1] for p in posting], dtype=np.int64)
+    owner = np.repeat(np.arange(len(posting)), per_account)
+    n = len(owner)
     registry = get_registry()
     registry.counter("engine.shard.tasks").inc()
-    registry.counter("engine.shard.posts").inc(len(protos))
+    registry.counter("engine.shard.posts").inc(n)
+    if not n:
+        return []
+    rows = np.array([p[0] for p in posting], dtype=np.int64)[owner]
+    affinity = np.array([p[3] for p in posting], dtype=np.float64)[owner]
+    n_interests = np.array([len(p[2]) for p in posting])[owner]
+    interest_codes = np.zeros(
+        (len(posting), max(1, int(n_interests.max()))), dtype=np.int64
+    )
+    for i, (__, __, interests, __) in enumerate(posting):
+        for j, category in enumerate(interests):
+            interest_codes[i, j] = _CATEGORY_CODE[category]
+
+    rng = np.random.default_rng([task.seed, task.hour, task.shard])
+    created_at = task.t0 + (task.t_end - task.t0) * rng.random(n)
+    tagged = (n_interests > 0) & (rng.random(n) < TAG_PROB)
+    category = interest_codes[
+        owner, rng.integers(0, np.maximum(n_interests, 1))
+    ]
+    pool_size = _POOL_SIZES[category]
+    first_tag = rng.integers(0, pool_size)
+    two_tags = rng.random(n) < TWO_TAGS_PROB
+    # A uniform pick among the other pool_size - 1 tags: distinct from
+    # the first by construction.
+    second_tag = rng.integers(0, pool_size - 1)
+    second_tag += second_tag >= first_tag
+    topical = rng.random(n) < affinity
+    topic_idx = np.searchsorted(
+        task.topic_cdf, rng.random(n), side="right"
+    )
+    kinds = behavior.draw_organic_kinds(rng, n)
+    sources = behavior.draw_organic_sources(rng, n)
+    n_words = rng.integers(MIN_WORDS, MAX_WORDS + 1, size=n)
+    words = _WORDS[
+        rng.integers(0, len(BENIGN_WORDS), size=int(n_words.sum()))
+    ].tolist()
+    with_digit = rng.random(n) < DIGIT_PROB
+    digits = rng.integers(1, 1000, size=n)
+    with_emoji = rng.random(n) < EMOJI_PROB
+    emojis = rng.integers(0, len(EMOJI), size=n)
+
+    topics = task.topics
+    protos: list[ProtoPost] = []
+    start = 0
+    for (
+        row, t, end, tag, cat, first, two, second, top, tidx, kind,
+        source, digit, d, emoji, e,
+    ) in zip(
+        rows.tolist(),
+        created_at.tolist(),
+        np.cumsum(n_words).tolist(),
+        tagged.tolist(),
+        category.tolist(),
+        first_tag.tolist(),
+        two_tags.tolist(),
+        second_tag.tolist(),
+        topical.tolist(),
+        topic_idx.tolist(),
+        kinds,
+        sources,
+        with_digit.tolist(),
+        digits.tolist(),
+        with_emoji.tolist(),
+        emojis.tolist(),
+    ):
+        text = " ".join(words[start:end])
+        start = end
+        if digit:
+            text += f" {d}"
+        if emoji:
+            text += " " + EMOJI[e]
+        topic = topics[tidx] if top else None
+        if topic is not None:
+            text += f" #{topic}"
+        hashtags: tuple[str, ...] = ()
+        if tag:
+            pool = _POOLS[cat]
+            hashtags = (pool[first], pool[second]) if two else (pool[first],)
+            text += " " + " ".join(f"#{h}" for h in hashtags)
+        protos.append((row, t, text, kind, source, hashtags, topic))
     return protos
-
-
-class ShardedTwitterEngine(TwitterEngine):
-    """A :class:`TwitterEngine` whose post loop fans out over shards.
-
-    Args:
-        population: the world (``config.engine_shards`` sets the shard
-            count; values < 1 are clamped to 1).
-        workers: pool size for the shard fan-out; ``None`` defers to
-            the ambient :func:`repro.parallel.resolve_workers` rule
-            and 0 forces in-process execution.  Identical output at
-            every worker count.
-    """
-
-    def __init__(
-        self,
-        population: Population,
-        taste=None,
-        topics: tuple[str, ...] = DEFAULT_TOPICS,
-        workers: int | None = None,
-    ) -> None:
-        super().__init__(population, taste, topics)
-        self.n_shards = max(1, int(population.config.engine_shards))
-        self.workers = workers
-
-    def shard_bounds(self, n_rows: int) -> list[int]:
-        """Contiguous account-range boundaries (len ``n_shards + 1``)."""
-        return [
-            n_rows * shard // self.n_shards
-            for shard in range(self.n_shards + 1)
-        ]
-
-    def _emit_organic_posts(
-        self, t0: float, t_end: float, hour: int, stats: HourStats
-    ) -> list[Tweet]:
-        pop = self.population
-        # Parent-stream preamble: identical draws to the unsharded
-        # engine (sessions, Poisson counts), so replies/spam/
-        # suspension downstream see the same parent stream whatever
-        # the worker count.
-        on = self._update_sessions()
-        scale = on.astype(np.float64) / pop.config.session_on_fraction
-        if len(pop.always_on) == len(scale):
-            scale[pop.always_on] = 1.0
-        rates = pop.post_rate_per_day * scale / 24.0
-        counts = self.rng.poisson(rates)
-        posting = np.nonzero(counts)[0]
-        if len(posting):
-            suspended = np.asarray(pop.suspended_flags())
-            posting = posting[~suspended[posting]]
-        topic_weights = self.topic_process.weights_at(hour)
-        topic_probs = topic_weights / topic_weights.sum()
-        topic_cdf = topic_probs.cumsum()
-        topic_cdf /= topic_cdf[-1]
-        topic_cdf = tuple(topic_cdf.tolist())
-
-        order = pop.order
-        interests_of = pop.interests
-        topic_affinity = pop.topic_affinity
-        n_aff = len(topic_affinity)
-        bounds = self.shard_bounds(len(order))
-        posting_rows = posting.tolist()
-        counts_of = counts
-        seed = pop.config.seed
-        topics = self.topic_process.topics
-        tasks: list[ShardTask] = []
-        pos = 0
-        for shard in range(self.n_shards):
-            hi = bounds[shard + 1]
-            members: list[
-                tuple[int, int, tuple[HashtagCategory, ...], float]
-            ] = []
-            while pos < len(posting_rows) and posting_rows[pos] < hi:
-                row = posting_rows[pos]
-                members.append(
-                    (
-                        row,
-                        int(counts_of[row]),
-                        interests_of.get(order[row], ()),
-                        (
-                            topic_affinity.item(row)
-                            if row < n_aff
-                            else 0.0
-                        ),
-                    )
-                )
-                pos += 1
-            tasks.append(
-                ShardTask(
-                    seed=seed,
-                    hour=hour,
-                    shard=shard,
-                    t0=t0,
-                    t_end=t_end,
-                    topics=topics,
-                    topic_cdf=topic_cdf,
-                    posting=tuple(members),
-                )
-            )
-
-        shard_protos = parallel_map(
-            emit_shard, tasks, workers=self.workers, label="engine.shards"
-        )
-
-        # Deterministic merge: ascending shard order, task order within
-        # a shard.  The parent replays the world-mutating tail of
-        # ``_make_organic_post`` here (trending records, finalization,
-        # recent-post tracking), all on the parent stream.
-        tweets: list[Tweet] = []
-        accounts = pop.accounts
-        for protos in shard_protos:
-            for row, created_at, text, kind, hashtags, topic in protos:
-                if topic is not None:
-                    self.trending.record(
-                        topic, int(created_at // SECONDS_PER_HOUR)
-                    )
-                tweet = self._finalize_tweet(
-                    accounts[order[row]],
-                    created_at,
-                    text,
-                    kind=kind,
-                    spammer=False,
-                    hashtags=hashtags,
-                    topic=topic,
-                )
-                tweets.append(tweet)
-                self._recent_posts.append(tweet)
-                stats.organic_posts += 1
-        return tweets
-
-
-def build_engine(
-    population: Population,
-    taste=None,
-    topics: tuple[str, ...] = DEFAULT_TOPICS,
-    workers: int | None = None,
-) -> TwitterEngine:
-    """The engine a world's config asks for.
-
-    ``engine_shards > 0`` selects :class:`ShardedTwitterEngine`;
-    otherwise the legacy single-stream :class:`TwitterEngine` (the
-    byte-stable reference every parity suite anchors on).
-    """
-    if population.config.engine_shards > 0:
-        return ShardedTwitterEngine(
-            population, taste, topics, workers=workers
-        )
-    return TwitterEngine(population, taste, topics)
