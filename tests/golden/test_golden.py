@@ -1,10 +1,15 @@
 """Committed golden digests of the extraction and scoring outputs.
 
 For ``micro`` seeds 7 and 23 the paper pipeline runs up to the full
-attribute sweep, then six outputs are pinned by ``stable_digest``:
+attribute sweep, then eight outputs are pinned by ``stable_digest``:
 
 * ``firehose`` — every tweet the engine emits, as ``to_json()``, from
   a subscriber attached right after the world is built,
+* ``captures`` — every ground-truth collection capture, then every
+  sweep capture: tweet id, hour, category, crossed attribute keys,
+  sample labels, node ids and the backfill flag,
+* ``labels`` — the labeled dataset: each tweet id with its label and
+  labeling method, then the sorted per-user labels,
 * ``fit_features`` — the training matrix ``fit`` extracts (labels fed
   back as they stream past),
 * ``classify_features`` — every matrix ``classify`` hands the forest,
@@ -44,6 +49,21 @@ SEEDS = (7, 23)
 def _matrix_digest(X: np.ndarray) -> str:
     X = np.ascontiguousarray(X, dtype=np.float64)
     return stable_digest([list(X.shape), X.tobytes().hex()])
+
+
+def _capture_rows(captures) -> list[list]:
+    return [
+        [
+            c.tweet.tweet_id,
+            c.hour,
+            c.capture_category.value,
+            list(c.attribute_keys),
+            list(c.sample_labels),
+            list(c.node_user_ids),
+            c.backfilled,
+        ]
+        for c in captures
+    ]
 
 
 def compute_digests(seed: int) -> dict[str, str]:
@@ -99,6 +119,25 @@ def compute_digests(seed: int) -> dict[str, str]:
 
     return {
         "firehose": stable_digest(firehose),
+        "captures": stable_digest(
+            [
+                _capture_rows(collection.captures),
+                _capture_rows(sweep.captures),
+            ]
+        ),
+        "labels": stable_digest(
+            [
+                [
+                    [
+                        tweet.tweet_id,
+                        int(dataset.tweet_labels[i]),
+                        dataset.tweet_method.get(tweet.tweet_id),
+                    ]
+                    for i, tweet in enumerate(dataset.tweets)
+                ],
+                sorted(dataset.user_labels.items()),
+            ]
+        ),
         "table6": stable_digest(
             ranking_payload(pge_by_sample(outcome, sweep.exposure))
         ),
