@@ -74,10 +74,6 @@ class SimulationConfig:
     # graph (replies come from followers) instead of uniform sampling.
     use_follow_graph: bool = False
     follow_graph_mean_degree: float = 12.0
-    # Store account state as flat numpy columns with thin views
-    # (bitwise-identical to object mode; see the columnar parity
-    # suite).  Object mode remains only as the parity baseline.
-    columnar: bool = True
     # Split the account range into this many shards, each drawing its
     # organic posts from its own (seed, hour, shard) substream.  The
     # shard count is part of the world: a different count is a

@@ -112,13 +112,13 @@ class Population:
     expose the live ``[:n]`` slice, which aliases the buffer and is
     therefore writable in place.
 
-    When ``config.columnar`` is set (the default), account state lives
-    in :class:`~repro.twittersim.columnar.AccountColumns` and
+    Account state lives in
+    :class:`~repro.twittersim.columnar.AccountColumns` (``cols``) and
     ``accounts`` is an :class:`~repro.twittersim.columnar.AccountMap`
-    of thin views; otherwise it is a plain dict of
-    :class:`~repro.twittersim.entities.AccountState` objects.  Both
-    modes are bitwise-identical in behavior (see the columnar parity
-    suite); row index in the columns always equals ``index_of[uid]``.
+    of thin views over it.  Row index in the columns always equals
+    ``index_of[uid]``; ``row_of_name`` maps a screen name to its row.
+    ``capacity`` pre-sizes the per-row buffers for accounts registered
+    after construction (campaign members, lone spammers).
     """
 
     def __init__(
@@ -140,9 +140,9 @@ class Population:
         names: "_NameRegistry",
         always_on: np.ndarray | None = None,
         _next_user_id: int = 0,
+        capacity: int = 0,
     ) -> None:
         self.config = config
-        self.accounts = accounts
         self.order = order
         self.index_of = index_of
         self.interests = interests
@@ -154,10 +154,16 @@ class Population:
         self.rng = rng
         self.names = names
         self._next_user_id = _next_user_id
-        self.cols: AccountColumns | None = None
         n = len(order)
         self._n_rows = n
-        capacity = max(n, 1)
+        capacity = max(n, capacity, 1)
+        self.cols = AccountColumns(capacity=capacity)
+        for uid in order:
+            self.cols.append_state(accounts[uid])
+        self.accounts = AccountMap(self.cols, index_of)
+        self.row_of_name: dict[str, int] = {
+            name: row for row, name in enumerate(self.cols.screen_name)
+        }
         self._post_rate = np.zeros(capacity, dtype=np.float64)
         self._post_rate[:n] = post_rate_per_day
         self._fav_rate = np.zeros(capacity, dtype=np.float64)
@@ -218,27 +224,9 @@ class Population:
             grown[: self._n_rows] = old[: self._n_rows]
             setattr(self, attr, grown)
 
-    # -- columnar backend --------------------------------------------------
-
-    def to_columnar(self) -> None:
-        """Move account state into columns; ``accounts`` becomes views.
-
-        Row index equals registration order, i.e. ``index_of[uid]``.
-        """
-        cols = AccountColumns(capacity=max(len(self.order), 1))
-        for uid in self.order:
-            cols.append_state(self.accounts[uid])
-        self.cols = cols
-        self.accounts = AccountMap(cols, self.index_of)
-
     def suspended_flags(self) -> np.ndarray:
-        """Per-position suspension flags (columnar: aliasing view)."""
-        if self.cols is not None:
-            return self.cols.suspended
-        flags = np.empty(len(self.order), dtype=bool)
-        for i, uid in enumerate(self.order):
-            flags[i] = self.accounts[uid].suspended
-        return flags
+        """Per-position suspension flags (an aliasing column view)."""
+        return self.cols.suspended
 
     # -- queries ----------------------------------------------------------
 
@@ -248,12 +236,8 @@ class Population:
 
     def live_ids(self) -> list[int]:
         """Ids of accounts that are not suspended."""
-        if self.cols is not None:
-            order = self.order
-            return [
-                order[i] for i in np.nonzero(~self.cols.suspended)[0]
-            ]
-        return [uid for uid in self.order if not self.accounts[uid].suspended]
+        order = self.order
+        return [order[i] for i in np.nonzero(~self.cols.suspended)[0]]
 
     def normal_ids(self) -> list[int]:
         """Ids of accounts whose ground-truth role is NORMAL."""
@@ -343,11 +327,10 @@ class Population:
         return user_id
 
     def _register(self, account: AccountState, kind: AccountKind) -> None:
-        if self.cols is not None:
-            # Row index equals position in ``order`` by construction.
-            self.cols.append_state(account)
-        else:
-            self.accounts[account.user_id] = account
+        # Row index equals position in ``order`` by construction.
+        self.row_of_name[account.screen_name] = self.cols.append_state(
+            account
+        )
         self.index_of[account.user_id] = len(self.order)
         self.order.append(account.user_id)
         self.truth.account_kind[account.user_id] = kind
@@ -471,6 +454,9 @@ def build_population(config: SimulationConfig) -> Population:
         names=names,
         always_on=np.zeros(n, dtype=bool),
         _next_user_id=n,
+        capacity=n
+        + config.n_campaigns * config.campaign_size_max
+        + config.n_lone_spammers,
     )
 
     # Mark a slice of normal users as compromised relays.
@@ -541,10 +527,5 @@ def build_population(config: SimulationConfig) -> Population:
             keyword_class,
             int(rng.integers(0, 1000)),
         )
-
-    # The build above runs in object mode (no RNG draws depend on the
-    # storage backend), then state moves into flat columns in one pass.
-    if config.columnar:
-        population.to_columnar()
 
     return population
