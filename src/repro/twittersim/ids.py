@@ -10,6 +10,8 @@ rely on.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class SnowflakeGenerator:
     """Issues unique, strictly increasing, time-ordered integer ids."""
@@ -43,6 +45,52 @@ class SnowflakeGenerator:
         self._last_ms = ms
         # Offset keeps ids positive even for timestamps far in the past.
         return ((ms + (1 << 40)) << self._SEQUENCE_BITS) | self._sequence
+
+    def next_ids(self, timestamps: np.ndarray) -> np.ndarray:
+        """Ids for many events, equal to calling :meth:`next_id` in order.
+
+        The clamp to the newest millisecond is a running maximum and
+        the sequence counts positions within each run of equal
+        milliseconds; the array path runs up to the first sequence
+        overflow, which :meth:`next_id` rolls over, then resumes.
+        """
+        ms = (np.asarray(timestamps, dtype=np.float64) * 1000).astype(
+            np.int64
+        )
+        ids = np.empty(len(ms), dtype=np.int64)
+        start = 0
+        while start < len(ms):
+            chunk = np.maximum.accumulate(
+                np.maximum(ms[start:], self._last_ms)
+            )
+            n = len(chunk)
+            positions = np.arange(n)
+            new_run = np.empty(n, dtype=bool)
+            new_run[0] = chunk[0] != self._last_ms
+            new_run[1:] = chunk[1:] != chunk[:-1]
+            sequence = positions - np.maximum.accumulate(
+                np.where(new_run, positions, 0)
+            )
+            if not new_run[0]:
+                # The first run continues the generator's current one.
+                first_new = np.flatnonzero(new_run)
+                end = first_new[0] if len(first_new) else n
+                sequence[:end] += self._sequence + 1
+            overflow = np.flatnonzero(sequence > self._SEQUENCE_MASK)
+            stop = overflow[0] if len(overflow) else n
+            if stop:
+                ids[start : start + stop] = (
+                    (chunk[:stop] + (1 << 40)) << self._SEQUENCE_BITS
+                ) | sequence[:stop]
+                self._last_ms = int(chunk[stop - 1])
+                self._sequence = int(sequence[stop - 1])
+            if stop == n:
+                break
+            ids[start + stop] = self.next_id(
+                float(timestamps[start + stop])
+            )
+            start += stop + 1
+        return ids
 
     @classmethod
     def timestamp_of(cls, snowflake: int) -> float:
