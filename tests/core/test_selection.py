@@ -11,6 +11,7 @@ from repro.core.selection import (
     CategoryTarget,
     ProfileTarget,
     SelectionPlan,
+    _RecentIndex,
 )
 
 
@@ -163,6 +164,84 @@ class TestCategorySelection:
                 if tweet.user.user_id == node.user_id and tweet.topic
             }
             assert topics & trending_up
+
+
+def _index_state(index: _RecentIndex) -> dict:
+    return {
+        "hashtag_authors": {
+            tag: list(authors)
+            for tag, authors in index.hashtag_authors.items()
+            if authors
+        },
+        "topic_authors": {
+            topic: list(authors)
+            for topic, authors in index.topic_authors.items()
+            if authors
+        },
+        "hashtag_usage": dict(index.hashtag_usage),
+        "author_used_hashtag": set(index.author_used_hashtag),
+        "author_used_topic": set(index.author_used_topic),
+        "author_last_post": dict(index.author_last_post),
+        "author_name": dict(index.author_name),
+        "ordered_authors": index.ordered_authors(),
+    }
+
+
+def _reference_state(tweets) -> dict:
+    """The index a one-tweet-at-a-time scan of the window builds."""
+    state = {
+        "hashtag_authors": {},
+        "topic_authors": {},
+        "hashtag_usage": {},
+        "author_used_hashtag": set(),
+        "author_used_topic": set(),
+        "author_last_post": {},
+        "author_name": {},
+        "ordered_authors": [],
+    }
+    for tweet in tweets:
+        uid = tweet.user.user_id
+        if uid not in state["author_name"]:
+            state["ordered_authors"].append(uid)
+        state["author_last_post"][uid] = tweet.created_at
+        state["author_name"][uid] = tweet.user.screen_name
+        for tag in tweet.hashtags:
+            state["hashtag_authors"].setdefault(tag, []).append(uid)
+            usage = state["hashtag_usage"]
+            usage[tag] = usage.get(tag, 0) + 1
+            state["author_used_hashtag"].add(uid)
+        if tweet.topic is not None:
+            state["topic_authors"].setdefault(tweet.topic, []).append(uid)
+            state["author_used_topic"].add(uid)
+    return state
+
+
+class TestRecentIndex:
+    def test_incremental_index_equals_rebuild(self, fresh_world):
+        __, engine, rest = fresh_world(seed=72)
+        # A window of ~2 hours, so most rounds expire a partial batch.
+        selector = AttributeSelector(rest, recent_limit=600, seed=1)
+        for __ in range(6):
+            engine.run_hour()
+            index = selector._index_recent_sample()
+            window = rest.recent_window(selector.recent_limit)
+            assert (index.window.lo, index.window.hi) == (
+                window.lo,
+                window.hi,
+            )
+            rebuilt = _RecentIndex()
+            assert rebuilt.advance(window)
+            assert _index_state(index) == _index_state(rebuilt)
+            assert _index_state(index) == _reference_state(window.tweets())
+
+    def test_window_of_another_platform_is_not_diffed(self, fresh_world):
+        __, engine, rest = fresh_world(seed=73)
+        __, other_engine, other_rest = fresh_world(seed=73)
+        engine.run_hour()
+        other_engine.run_hour()
+        index = _RecentIndex()
+        assert index.advance(rest.recent_window())
+        assert not index.advance(other_rest.recent_window())
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 """Tests for snowflake id generation."""
 
+import numpy as np
+
 from repro.twittersim.ids import SnowflakeGenerator
 
 
@@ -46,3 +48,36 @@ class TestSnowflakeGenerator:
             current = gen.next_id(1.0)
             assert current > last
             last = current
+
+
+class TestSnowflakeBatch:
+    """``next_ids`` equals a loop of ``next_id`` over the same times."""
+
+    @staticmethod
+    def _assert_batch_equals_loop(chunks):
+        looped, batched = SnowflakeGenerator(), SnowflakeGenerator()
+        for times in chunks:
+            expected = [looped.next_id(t) for t in times]
+            got = batched.next_ids(np.array(times, dtype=np.float64))
+            assert got.tolist() == expected
+
+    def test_out_of_order_timestamps(self):
+        rng = np.random.default_rng(3)
+        for __ in range(100):
+            chunks = [
+                (
+                    rng.integers(-3, 30, size=int(rng.integers(0, 40)))
+                    * 0.001
+                ).tolist()
+                for __ in range(int(rng.integers(1, 5)))
+            ]
+            self._assert_batch_equals_loop(chunks)
+
+    def test_same_ms_run_past_the_sequence_space(self):
+        run = [5.0] * 70_000 + [4.0] * 70_000 + [140.5, 140.5, 60.0]
+        self._assert_batch_equals_loop([run, [140.5] * 3])
+
+    def test_continues_the_current_run(self):
+        self._assert_batch_equals_loop(
+            [[1.0] * 65_535, [1.0], [1.0, 1.0, 1.001], []]
+        )
